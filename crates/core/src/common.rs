@@ -9,7 +9,7 @@
 
 use crate::adaptive::{AdaptiveCtrl, CtrlSignals};
 use crate::config::{FreeMode, SmrConfig};
-use crate::freebuf::{FreeBuffer, PoolBins};
+use crate::freebuf::PoolBins;
 use crate::retired::RetiredList;
 use crate::smr_stats::SmrStats;
 
@@ -47,7 +47,9 @@ pub struct SchemeCommon {
     /// Full scheme name (base + free-mode suffix), interned once here so
     /// per-trial stats paths never re-format it.
     name: String,
-    freebufs: TidSlots<FreeBuffer>,
+    /// Per-thread FIFO freeable lists of the amortized modes (DESIGN.md
+    /// §3.2): safe batches splice in whole, drains pop oldest-first.
+    freebufs: TidSlots<RetiredList>,
     pools: TidSlots<PoolBins>,
     /// Per-thread batch-free controllers ([`FreeMode::Adaptive`] only;
     /// idle otherwise).
@@ -104,7 +106,7 @@ impl SchemeCommon {
             ctrls: TidSlots::new_with(n, |_| AdaptiveCtrl::new(&cfg)),
             cfg,
             stats,
-            freebufs: TidSlots::new_with(n, |_| FreeBuffer::new()),
+            freebufs: TidSlots::new_with(n, |_| RetiredList::new()),
             pools: TidSlots::new_with(n, |_| PoolBins::new()),
             scratch_pools: TidSlots::new_with(n, |_| SegmentPool::new(scratch_cap)),
             bg,
@@ -189,16 +191,14 @@ impl SchemeCommon {
             FreeMode::Batch => self.free_batch_now(tid, batch),
             FreeMode::Amortized { .. } => {
                 // SAFETY: tid-exclusivity contract.
-                let buf = unsafe { self.freebufs.get_mut(tid) };
-                buf.absorb(batch);
+                unsafe { self.freebufs.get_mut(tid) }.append(batch);
             }
             FreeMode::Adaptive => {
                 // Park the batch like Amortized, then let the controller
                 // consume the window: a disposal IS a scan/epoch boundary,
                 // so the retune happens off the per-op fast path.
                 // SAFETY: tid-exclusivity contract.
-                let buf = unsafe { self.freebufs.get_mut(tid) };
-                buf.absorb(batch);
+                unsafe { self.freebufs.get_mut(tid) }.append(batch);
                 self.adapt_recompute(tid);
             }
             FreeMode::Pooled => {
@@ -419,7 +419,7 @@ impl SchemeCommon {
     pub fn drain_freebuf(&self, tid: Tid) {
         // SAFETY: callers guarantee quiescence (trait contract of
         // `quiesce_and_drain`).
-        let mut all = unsafe { self.freebufs.get_mut(tid) }.drain_all();
+        let mut all = unsafe { self.freebufs.get_mut(tid) }.take();
         self.free_batch_now(tid, &mut all);
         // SAFETY: quiescence, as above.
         let mut pooled = unsafe { self.pools.get_mut(tid) }.drain_all();

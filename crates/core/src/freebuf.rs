@@ -7,71 +7,21 @@
 //! free objects one by one, each time a data structure operation is
 //! performed."
 //!
-//! [`FreeBuffer`] is deliberately **not** an object pool: the paper wants
-//! to show interaction with the allocator can be made fast, not avoided
-//! (§3.3 and footnote 4), so it only delays `dealloc` calls — it never
-//! serves allocations. [`PoolBins`] is the pooling alternative the paper
-//! declines (and footnote 4 credits for VBR's performance), implemented
-//! separately so the `ablation_pooled` bench can compare the two.
-//!
-//! Both are thin shells over [`RetiredList`]: absorbing a safe batch is an
-//! O(1) intrusive splice, and neither structure allocates after
-//! construction — the freeable list's spine is the retired memory itself.
+//! The freeable list is a plain FIFO [`RetiredList`] per thread, held by
+//! [`crate::SchemeCommon`]: absorbing a safe batch is an O(1) intrusive
+//! splice, the oldest safe objects are freed first (bounding the
+//! staleness of any queued object), and the list's spine is the retired
+//! memory itself, so it never allocates. It is deliberately **not** an
+//! object pool: the paper wants to show interaction with the allocator
+//! can be made fast, not avoided (§3.3 and footnote 4), so it only
+//! delays `dealloc` calls — it never serves allocations. [`PoolBins`] is
+//! the pooling alternative the paper declines (and footnote 4 credits
+//! for VBR's performance), implemented here so the `ablation_pooled`
+//! experiment can compare the two. It too is a shell over
+//! [`RetiredList`] and allocates nothing after construction.
 
 use crate::retired::{Retired, RetiredList};
 use epic_alloc::{class_of, BlockHeader, NUM_CLASSES};
-
-/// FIFO freeable list. FIFO matters: the oldest safe objects are freed
-/// first, bounding the staleness of any queued object.
-#[derive(Debug, Default)]
-pub struct FreeBuffer {
-    queue: RetiredList,
-}
-
-impl FreeBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        FreeBuffer {
-            queue: RetiredList::new(),
-        }
-    }
-
-    /// Queues an entire safe batch (O(1) splice; `batch` is left empty).
-    pub fn absorb(&mut self, batch: &mut RetiredList) {
-        self.queue.append(batch);
-    }
-
-    /// Queues one object.
-    ///
-    /// # Safety
-    /// Same contract as [`RetiredList::push`]: a live, exclusively-owned
-    /// pool-allocator block.
-    pub unsafe fn push(&mut self, r: Retired) {
-        // SAFETY: forwarded to caller.
-        unsafe { self.queue.push(r) };
-    }
-
-    /// Takes the oldest queued object, if any.
-    #[inline]
-    pub fn pop(&mut self) -> Option<Retired> {
-        self.queue.pop()
-    }
-
-    /// Splices the entire backlog out (teardown).
-    pub fn drain_all(&mut self) -> RetiredList {
-        self.queue.take()
-    }
-
-    /// Objects still queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-}
 
 /// Per-size-class LIFO object pool ([`crate::FreeMode::Pooled`]).
 ///
@@ -188,51 +138,6 @@ mod tests {
     fn free_list(a: &Arc<dyn PoolAllocator>, mut list: RetiredList) {
         while let Some(r) = list.pop() {
             a.dealloc(0, r.ptr);
-        }
-    }
-
-    #[test]
-    fn absorb_then_pop_fifo() {
-        let a = arena();
-        let mut buf = FreeBuffer::new();
-        let (mut batch, addrs) = batch_of(&a, &[64, 64, 64]);
-        buf.absorb(&mut batch);
-        assert!(batch.is_empty());
-        assert_eq!(buf.len(), 3);
-        let first: Vec<usize> = (0..2).map(|_| buf.pop().unwrap().addr()).collect();
-        assert_eq!(first, addrs[..2], "oldest first");
-        assert_eq!(buf.len(), 1);
-        free_list(&a, buf.drain_all());
-        for addr in first {
-            a.dealloc(0, std::ptr::NonNull::new(addr as *mut u8).unwrap());
-        }
-    }
-
-    #[test]
-    fn pop_past_empty_is_none() {
-        let a = arena();
-        let mut buf = FreeBuffer::new();
-        let p = a.alloc(0, 64);
-        // SAFETY: live block of `a`, exclusively ours.
-        unsafe { buf.push(Retired::new(p)) };
-        assert_eq!(buf.pop().unwrap().addr(), p.as_ptr() as usize);
-        assert!(buf.pop().is_none());
-        assert!(buf.is_empty());
-        a.dealloc(0, p);
-    }
-
-    #[test]
-    fn absorb_twice_preserves_arrival_order() {
-        let a = arena();
-        let mut buf = FreeBuffer::new();
-        let (mut first, first_addrs) = batch_of(&a, &[64]);
-        let (mut second, second_addrs) = batch_of(&a, &[64]);
-        buf.absorb(&mut first);
-        buf.absorb(&mut second);
-        assert_eq!(buf.pop().unwrap().addr(), first_addrs[0]);
-        assert_eq!(buf.pop().unwrap().addr(), second_addrs[0]);
-        for addr in [first_addrs[0], second_addrs[0]] {
-            a.dealloc(0, std::ptr::NonNull::new(addr as *mut u8).unwrap());
         }
     }
 

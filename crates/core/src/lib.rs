@@ -69,7 +69,6 @@ pub mod sync;
 pub use adaptive::{AdaptiveCtrl, CtrlSignals};
 pub use common::SchemeCommon;
 pub use config::{FreeMode, SmrConfig};
-pub use freebuf::FreeBuffer;
 pub use handle::{OpGuard, Restart, SchemeLocal, Smr, SmrHandle, LINK_TAG_MASK};
 pub use retired::{Retired, RetiredList};
 pub use smr_stats::SmrSnapshot;

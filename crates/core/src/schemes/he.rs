@@ -209,6 +209,8 @@ impl RawSmr for HeSmr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::AtomicUsize;
+    use crate::{OpGuard, Smr, SmrHandle};
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
     fn setup(n: usize, bag_cap: usize, era_freq: usize) -> (Arc<dyn PoolAllocator>, Arc<HeSmr>) {
@@ -217,6 +219,15 @@ mod tests {
         cfg.era_freq = era_freq;
         let smr = Arc::new(HeSmr::new(Arc::clone(&alloc), cfg));
         (alloc, smr)
+    }
+
+    /// Opens an operation on `h` and reserves the current era in slot 0
+    /// (HE protects eras, so the link's value does not matter).
+    fn reserve_era(h: &SmrHandle) -> OpGuard<'_> {
+        let g = h.begin_op();
+        g.protect_load(0, &AtomicUsize::new(0))
+            .expect("he never restarts");
+        g
     }
 
     #[test]
@@ -238,8 +249,11 @@ mod tests {
     fn reserved_era_blocks_reclaim() {
         let (alloc, smr) = setup(2, 8, 2);
         // Thread 1 publishes the current era and parks.
-        smr.begin_op(1);
-        smr.protect(1, 0, 0);
+        let s = Smr::from_raw(smr.clone());
+        let h1 = s.register(1);
+        let g1 = reserve_era(&h1);
+        // Tid 1's slot 0 sits at index k of the flat slot array.
+        assert_eq!(smr.slots[smr.k].load(Ordering::Relaxed), smr.current_era());
         // Thread 0 churns: everything it retires is born/retired in eras
         // >= thread 1's reservation... so objects whose lifetime covers
         // the reserved era are kept.
@@ -258,7 +272,7 @@ mod tests {
         assert!(s.scans > 0);
         assert!(s.garbage >= 1, "the covered object must survive: {s:?}");
         let _ = reserved;
-        smr.end_op(1);
+        drop(g1);
         smr.quiesce_and_drain();
         assert_eq!(smr.stats().garbage, 0);
     }
@@ -267,8 +281,9 @@ mod tests {
     fn objects_born_after_reservation_epoch_are_freed() {
         let (alloc, smr) = setup(2, 4, 1);
         // Thread 1 reserves era E.
-        smr.begin_op(1);
-        smr.protect(1, 0, 0);
+        let s = Smr::from_raw(smr.clone());
+        let h1 = s.register(1);
+        let g1 = reserve_era(&h1);
         // Era moves past E via retires; objects born *later* than E and
         // retired later are unreachable by thread 1's reservation... they
         // free despite the standing reservation.
@@ -285,25 +300,25 @@ mod tests {
             "later-born objects must be reclaimable: {:?}",
             smr.stats()
         );
-        smr.end_op(1);
+        drop(g1);
         smr.quiesce_and_drain();
     }
 
     #[test]
     fn multithreaded_stress() {
-        let (alloc, smr) = setup(4, 32, 8);
+        let (_, smr) = setup(4, 32, 8);
+        let s = Smr::from_raw(smr.clone());
         let handles: Vec<_> = (0..4)
             .map(|tid| {
-                let smr = Arc::clone(&smr);
-                let alloc = Arc::clone(&alloc);
+                let s = s.clone();
                 std::thread::spawn(move || {
+                    let h = s.register(tid);
+                    let link = AtomicUsize::new(0);
                     for i in 0..3_000usize {
-                        smr.begin_op(tid);
-                        smr.protect(tid, i % 8, 0);
-                        let p = alloc.alloc(tid, 64);
-                        smr.on_alloc(tid, p);
-                        smr.retire(tid, p);
-                        smr.end_op(tid);
+                        let g = h.begin_op();
+                        g.protect_load(i % 8, &link).expect("he never restarts");
+                        let p = g.alloc(64);
+                        g.retire(p);
                     }
                 })
             })

@@ -192,6 +192,7 @@ impl RawSmr for HpSmr {
 mod tests {
     use super::*;
     use crate::config::FreeMode;
+    use crate::Smr;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
     fn setup(n: usize, bag_cap: usize) -> (Arc<dyn PoolAllocator>, Arc<HpSmr>) {
@@ -205,9 +206,14 @@ mod tests {
     fn protected_object_survives_scan() {
         let (alloc, smr) = setup(2, 4);
         let victim = alloc.alloc(0, 64);
+        let link = AtomicUsize::new(victim.as_ptr() as usize);
         // Thread 1 protects the victim.
-        smr.begin_op(1);
-        smr.protect(1, 0, victim.as_ptr() as usize);
+        let s = Smr::from_raw(smr.clone());
+        let h1 = s.register(1);
+        let g1 = h1.begin_op();
+        let read = g1.protect_load(0, &link).expect("hp never restarts");
+        assert_eq!(read, victim.as_ptr() as usize);
+        assert_eq!(smr.slot_value(1, 0), read, "slot 0 announces the victim");
         // Thread 0 retires it plus enough filler to trigger scans.
         smr.begin_op(0);
         smr.retire(0, victim);
@@ -222,7 +228,7 @@ mod tests {
         // The victim is still protected: garbage >= 1.
         assert!(s.garbage >= 1);
         // Thread 1 releases; next scan frees the victim.
-        smr.end_op(1);
+        drop(g1);
         smr.begin_op(0);
         for _ in 0..64 {
             let filler = alloc.alloc(0, 64);
@@ -237,9 +243,14 @@ mod tests {
     fn end_op_clears_slots() {
         let (alloc, smr) = setup(1, 2);
         let p = alloc.alloc(0, 64);
-        smr.begin_op(0);
-        smr.protect(0, 3, p.as_ptr() as usize);
-        smr.end_op(0);
+        let link = AtomicUsize::new(p.as_ptr() as usize);
+        let s = Smr::from_raw(smr.clone());
+        let h = s.register(0);
+        {
+            let g = h.begin_op();
+            g.protect_load(3, &link).expect("hp never restarts");
+            assert_eq!(smr.slot_value(0, 3), p.as_ptr() as usize);
+        }
         assert!(smr.slots.iter().all(|s| s.load(Ordering::Relaxed) == 0));
         smr.begin_op(0);
         smr.retire(0, p);
@@ -251,7 +262,10 @@ mod tests {
     #[test]
     fn needs_validate_is_true() {
         let (_, smr) = setup(1, 2);
-        assert!(smr.needs_validate());
+        let s = Smr::from_raw(smr.clone());
+        let h = s.register(0);
+        assert!(h.validating());
+        assert!(h.begin_op().validating());
     }
 
     #[test]
@@ -279,17 +293,19 @@ mod tests {
     #[test]
     fn concurrent_protect_retire_stress() {
         let (alloc, smr) = setup(4, 16);
+        let s = Smr::from_raw(smr.clone());
         let handles: Vec<_> = (0..4)
             .map(|tid| {
-                let smr = Arc::clone(&smr);
+                let s = s.clone();
                 let alloc = Arc::clone(&alloc);
                 std::thread::spawn(move || {
+                    let h = s.register(tid);
                     for i in 0..3_000usize {
-                        smr.begin_op(tid);
+                        let g = h.begin_op();
                         let p = alloc.alloc(tid, 64);
-                        smr.protect(tid, i % 8, p.as_ptr() as usize);
-                        smr.retire(tid, p);
-                        smr.end_op(tid);
+                        let link = AtomicUsize::new(p.as_ptr() as usize);
+                        g.protect_load(i % 8, &link).expect("hp never restarts");
+                        g.retire(p);
                     }
                 })
             })

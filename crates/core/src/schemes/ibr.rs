@@ -217,6 +217,8 @@ impl RawSmr for IbrSmr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::AtomicUsize;
+    use crate::Smr;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
     fn setup(n: usize, bag_cap: usize, era_freq: usize) -> (Arc<dyn PoolAllocator>, Arc<IbrSmr>) {
@@ -268,7 +270,9 @@ mod tests {
     #[test]
     fn protect_extends_hi_only_forward() {
         let (alloc, smr) = setup(1, 1_000_000, 1);
-        smr.begin_op(0);
+        let s = Smr::from_raw(smr.clone());
+        let h = s.register(0);
+        let g = h.begin_op();
         let lo0 = smr.reservations[0].lo.load(Ordering::Relaxed);
         // Advance the era by retiring (freq 1).
         for _ in 0..5 {
@@ -276,30 +280,31 @@ mod tests {
             smr.on_alloc(0, p);
             smr.retire(0, p);
         }
-        smr.protect(0, 0, 0);
+        g.protect_load(0, &AtomicUsize::new(0))
+            .expect("ibr never restarts");
         let lo1 = smr.reservations[0].lo.load(Ordering::Relaxed);
         let hi1 = smr.reservations[0].hi.load(Ordering::Relaxed);
         assert_eq!(lo0, lo1, "lo never moves during an op");
         assert!(hi1 >= lo1 + 5, "hi tracks the era: lo={lo1} hi={hi1}");
-        smr.end_op(0);
+        drop(g);
         smr.quiesce_and_drain();
     }
 
     #[test]
     fn multithreaded_stress() {
-        let (alloc, smr) = setup(4, 32, 4);
+        let (_, smr) = setup(4, 32, 4);
+        let s = Smr::from_raw(smr.clone());
         let handles: Vec<_> = (0..4)
             .map(|tid| {
-                let smr = Arc::clone(&smr);
-                let alloc = Arc::clone(&alloc);
+                let s = s.clone();
                 std::thread::spawn(move || {
+                    let h = s.register(tid);
+                    let link = AtomicUsize::new(0);
                     for _ in 0..3_000 {
-                        smr.begin_op(tid);
-                        smr.protect(tid, 0, 0);
-                        let p = alloc.alloc(tid, 64);
-                        smr.on_alloc(tid, p);
-                        smr.retire(tid, p);
-                        smr.end_op(tid);
+                        let g = h.begin_op();
+                        g.protect_load(0, &link).expect("ibr never restarts");
+                        let p = g.alloc(64);
+                        g.retire(p);
                     }
                 })
             })

@@ -221,6 +221,8 @@ impl RawSmr for WfeSmr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::AtomicUsize;
+    use crate::Smr;
     use epic_alloc::{build_allocator, AllocatorKind, CostModel};
 
     fn setup(n: usize, bag_cap: usize) -> (Arc<dyn PoolAllocator>, Arc<WfeSmr>) {
@@ -234,22 +236,28 @@ mod tests {
     #[test]
     fn double_word_publication() {
         let (_, smr) = setup(1, 4);
-        smr.begin_op(0);
-        smr.protect(0, 2, 0);
+        let s = Smr::from_raw(smr.clone());
+        let h = s.register(0);
+        let g = h.begin_op();
+        g.protect_load(2, &AtomicUsize::new(0))
+            .expect("wfe never restarts");
         let base = 2 * 2;
         let enter = smr.slots[base].load(Ordering::Relaxed);
         let exit = smr.slots[base + 1].load(Ordering::Relaxed);
         assert_eq!(enter, exit);
         assert_ne!(enter, NONE);
-        smr.end_op(0);
+        drop(g);
         assert_eq!(smr.slots[base].load(Ordering::Relaxed), NONE);
     }
 
     #[test]
     fn reservation_protects_and_releases() {
         let (alloc, smr) = setup(2, 4);
-        smr.begin_op(1);
-        smr.protect(1, 0, 0);
+        let s = Smr::from_raw(smr.clone());
+        let h1 = s.register(1);
+        let g1 = h1.begin_op();
+        g1.protect_load(0, &AtomicUsize::new(0))
+            .expect("wfe never restarts");
         smr.begin_op(0);
         let victim = alloc.alloc(0, 64);
         smr.on_alloc(0, victim);
@@ -266,26 +274,26 @@ mod tests {
             "unreserved lifetimes freed: {:?}",
             smr.stats()
         );
-        smr.end_op(1);
+        drop(g1);
         smr.quiesce_and_drain();
         assert_eq!(smr.stats().garbage, 0);
     }
 
     #[test]
     fn multithreaded_stress() {
-        let (alloc, smr) = setup(4, 32);
+        let (_, smr) = setup(4, 32);
+        let s = Smr::from_raw(smr.clone());
         let handles: Vec<_> = (0..4)
             .map(|tid| {
-                let smr = Arc::clone(&smr);
-                let alloc = Arc::clone(&alloc);
+                let s = s.clone();
                 std::thread::spawn(move || {
+                    let h = s.register(tid);
+                    let link = AtomicUsize::new(0);
                     for i in 0..3_000usize {
-                        smr.begin_op(tid);
-                        smr.protect(tid, i % 8, 0);
-                        let p = alloc.alloc(tid, 64);
-                        smr.on_alloc(tid, p);
-                        smr.retire(tid, p);
-                        smr.end_op(tid);
+                        let g = h.begin_op();
+                        g.protect_load(i % 8, &link).expect("wfe never restarts");
+                        let p = g.alloc(64);
+                        g.retire(p);
                     }
                 })
             })

@@ -156,7 +156,7 @@ fn smr_with(kind: SmrKind, alloc: Arc<TrackingAlloc>, cfg: SmrConfig) -> Smr {
 // Model 1: limbo-bag splice/drain, free-count==1 oracle.
 //
 // qsbr + amortized freeing drives the full splice pipeline: retire into
-// epoch bags -> bag rotation disposes into the FreeBuffer (the
+// epoch bags -> bag rotation disposes into the freeable list (the
 // RetiredList::append splice) -> alloc-coupled drain + teardown drain.
 // The M_SPLICE_KEEP_SOURCE mutant leaves the spliced chain owned by
 // both lists; teardown then frees it twice — deterministically, in
@@ -576,9 +576,9 @@ fn qsbr_detach_skip_mutant_is_killed() {
 }
 
 // ---------------------------------------------------------------------
-// Model 5: FreeBuffer flush under contention (hp + amortized).
+// Model 5: freeable-list flush under contention (hp + amortized).
 //
-// Both threads feed the per-thread FreeBuffers through scans while the
+// Both threads feed the per-thread freeable lists through scans while the
 // alloc-coupled drain pulls from them concurrently; teardown drains the
 // rest. Oracle: exactly-once frees, nothing leaked.
 // ---------------------------------------------------------------------
@@ -626,7 +626,7 @@ fn freebuf_contention_clean_passes() {
 // Models: the adaptive retire path (FreeMode::Adaptive).
 //
 // Two shapes. (1) qsbr_adapt mirrors Model 1's splice pipeline — epoch
-// rotation disposes into the FreeBuffer, but in Adaptive mode every
+// rotation disposes into the freeable list, but in Adaptive mode every
 // disposal also runs the controller retune, so the retune sits exactly
 // on the splice boundary the M_SPLICE_KEEP_SOURCE mutant corrupts.
 // (2) hp_adapt drives the threshold path, where every retire reads the

@@ -1,6 +1,5 @@
 //! CLI entry point: run paper experiments by id, check them against the
-//! paper-shape oracles — serially or as parallel child processes — and
-//! merge sharded results.
+//! paper-shape oracles as child processes, and merge sharded results.
 //!
 //! ```text
 //! epic-run list [--shard K/N]        # id + cost + origin (optionally one shard)
@@ -8,10 +7,10 @@
 //!                                    #   origins, seeds, provenance hashes)
 //! epic-run list --origin runbook     # only runbook-generated scenario cells
 //! epic-run fig11a_experiment1        # run one experiment in-process
-//! epic-run all                       # the full evaluation, serial
+//! epic-run all                       # the full evaluation, serial, in-process
 //! epic-run check                     # run everything + evaluate every oracle
 //! epic-run check table3_allocators fig11b_experiment2
-//! epic-run check all -j 4            # process-isolated, 4 worker slots
+//! epic-run check all -j 4            # 4 worker slots
 //! epic-run check all --shard 2/3 -j 4
 //! epic-run check all -j 4 --events results/events.ndjson  # NDJSON progress
 //! epic-run merge-shapes a.json b.json c.json   # fan shards back in
@@ -25,10 +24,11 @@
 //! `check` prints a PASS/FAIL/ADVISORY verdict table, writes
 //! `results/SHAPES.json` (`epic-shapes-v2`), and exits non-zero iff a
 //! *strict* assertion failed (advisory misses are reported but never
-//! fatal — see DESIGN.md §6). With `-j N` the experiments run as child
-//! processes (`--one` self-invocations) under the DESIGN.md §8 job
-//! engine; `epic-run <id>` stays serial and in-process, so
-//! single-experiment debugging is unchanged.
+//! fatal — see DESIGN.md §6). Every experiment runs as a child process
+//! (an `--one` self-invocation) under the DESIGN.md §8 job engine, with
+//! its timeout, crash retry and per-run log; `-j N` only sets how many
+//! children run at once (default 1). `epic-run <id>` stays in-process,
+//! for single-experiment debugging.
 
 use epic_harness::experiments::{
     all_experiments, experiment_by_name, run_by_name, Experiment, ExperimentRun, Origin,
@@ -254,9 +254,9 @@ fn registry_json(selected: &[Experiment]) -> String {
     out
 }
 
-/// Runs the selected experiments (in-process when `-j 1`, as child
-/// processes otherwise), evaluates their oracles, prints the verdict
-/// table, writes `SHAPES.json`. Returns the process exit code:
+/// Runs the selected experiments as child processes on `-j` worker slots
+/// (default 1), evaluates their oracles, prints the verdict table, writes
+/// `SHAPES.json`. Returns the process exit code:
 /// 0 (all strict assertions hold), 1 (strict failure), 2 (bad usage).
 fn run_check(rest: &[&str]) -> i32 {
     let opts = match parse_check_opts(rest) {
@@ -288,113 +288,19 @@ fn run_check(rest: &[&str]) -> i32 {
         Some((k, n)) => format!("{k}/{n}"),
         None => "1/1".to_string(),
     };
-    let doc = if opts.jobs <= 1 {
-        match check_serial(&selected, &shard_label, opts.events.as_deref()) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
+    match runner::run_parallel(
+        &selected,
+        opts.jobs,
+        opts.timeout,
+        &shard_label,
+        opts.events.as_deref(),
+    ) {
+        Ok(doc) => finish_check(&doc),
+        Err(e) => {
+            eprintln!("{e}");
+            2
         }
-    } else {
-        match runner::run_parallel(
-            &selected,
-            opts.jobs,
-            opts.timeout,
-            &shard_label,
-            opts.events.as_deref(),
-        ) {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
-    };
-    finish_check(&doc)
-}
-
-/// The serial in-process path: identical to the pre-engine behavior
-/// (live per-assertion traces), plus per-experiment timing. When
-/// `events_path` is set, the same `epic-events-v1` NDJSON stream the
-/// parallel engine produces is emitted (attempt is always 1 — the
-/// serial path never retries).
-fn check_serial(
-    selected: &[Experiment],
-    shard_label: &str,
-    events_path: Option<&std::path::Path>,
-) -> Result<ShapesDoc, String> {
-    use epic_harness::runner::pool::{unix_ms, EventKind, PoolEvent};
-    use std::io::Write as _;
-    let mut events_sink = match events_path {
-        Some(p) => Some(std::io::BufWriter::new(std::fs::File::create(p).map_err(
-            |e| format!("check: could not create events file {}: {e}", p.display()),
-        )?)),
-        None => None,
-    };
-    let mut emit = |ev: PoolEvent| {
-        if let Some(w) = events_sink.as_mut() {
-            let _ = writeln!(w, "{}", ev.to_json());
-            let _ = w.flush();
-        }
-    };
-    for e in selected {
-        emit(PoolEvent {
-            kind: EventKind::Queued,
-            experiment: e.id.to_string(),
-            tag: 0,
-            attempt: 1,
-            ts_ms: unix_ms(),
-            duration_ms: None,
-            outcome: None,
-            verdict: None,
-            will_retry: None,
-        });
     }
-    let mut records = Vec::new();
-    for e in selected {
-        println!("\n##### check {} #####", e.id);
-        let oracle = oracle_for(&e.id)
-            .unwrap_or_else(|| panic!("experiment '{}' has no registered oracle", e.id));
-        emit(PoolEvent {
-            kind: EventKind::Started,
-            experiment: e.id.to_string(),
-            tag: 0,
-            attempt: 1,
-            ts_ms: unix_ms(),
-            duration_ms: None,
-            outcome: None,
-            verdict: None,
-            will_retry: None,
-        });
-        let started = Instant::now();
-        let result = e.execute();
-        let duration_ms = started.elapsed().as_secs_f64() * 1e3;
-        let report = evaluate(&oracle, &result);
-        for o in &report.outcomes {
-            let mark = if o.passed { "ok  " } else { "MISS" };
-            println!("  [{mark}] ({}) {} — {}", o.tier.name(), o.label, o.detail);
-        }
-        emit(PoolEvent {
-            kind: EventKind::Finished,
-            experiment: e.id.to_string(),
-            tag: 0,
-            attempt: 1,
-            ts_ms: unix_ms(),
-            duration_ms: Some(duration_ms),
-            outcome: Some("completed".to_string()),
-            verdict: Some(report.verdict().to_string()),
-            will_retry: None,
-        });
-        records.push(ShapeRecord::from_run(report, &result, duration_ms, 1));
-    }
-    Ok(ShapesDoc {
-        records,
-        runner: RunnerMeta {
-            shard: shard_label.to_string(),
-            jobs: 1,
-        },
-    })
 }
 
 /// Shared tail of `check` and `merge-shapes`: verdict table, SHAPES.json,

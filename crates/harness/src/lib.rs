@@ -22,7 +22,7 @@
 //! | `EPIC_BAG_CAP` | limbo-bag capacity (paper: 32768) | 4096 |
 //! | `EPIC_RESULTS` | artifact output directory | `results/` |
 //! | `EPIC_RUNBOOK` | scenario runbook file generating `sc_*` experiments | unset |
-//! | `EPIC_JOB_TIMEOUT_SECS` | per-child timeout for `epic-run check -j N` | 600 |
+//! | `EPIC_JOB_TIMEOUT_SECS` | per-child timeout for `epic-run check` | 600 |
 //! | `EPIC_JOB_LOG_KEEP` | run directories kept under `results/jobs/` | 10 |
 //! | `EPIC_QUEUE_COMPACT_LINES` | `epic-serve` queue-journal compaction threshold | 4096 |
 //!

@@ -1,5 +1,6 @@
 //! The process-isolated experiment job engine behind
-//! `epic-run check -j N [--shard K/N]`.
+//! `epic-run check [-j N] [--shard K/N]` — the only way `check` runs
+//! experiments, one worker slot by default.
 //!
 //! Experiments are embarrassingly parallel **across processes** but must
 //! never share one: each assumes exclusive ownership of its worker
@@ -106,7 +107,7 @@ static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Creates a fresh per-run artifact directory
 /// `<results>/jobs/run-<unix-ms>-<pid>-<seq>/` and sweeps old run
 /// directories, keeping the newest [`job_log_keep`] (the new one
-/// included). Both `epic-run check -j N` and the `epic-serve` daemon
+/// included). Both `epic-run check` and the `epic-serve` daemon
 /// allocate their child logs here, so `results/jobs/` stays bounded
 /// across runs instead of accreting logs forever.
 pub fn new_run_dir() -> std::io::Result<PathBuf> {
@@ -252,6 +253,11 @@ pub fn run_parallel(
                         rec.report.verdict(),
                         end.attempt
                     );
+                    // The child's tables stay in its log; the misses are
+                    // what a reader of this stream needs.
+                    for o in rec.report.outcomes.iter().filter(|o| !o.passed) {
+                        println!("       MISS ({}) {} — {}", o.tier.name(), o.label, o.detail);
+                    }
                     records.push(*rec);
                 }
                 AttemptOutcome::Crashed { reason, will_retry } => {

@@ -1,4 +1,4 @@
-//! The process-pool core shared by `epic-run check -j N` and the
+//! The process-pool core shared by `epic-run check` and the
 //! `epic-serve` daemon: LPT slot assignment from cost hints, per-job
 //! timeout, crash classification, bounded retry, and an NDJSON-able
 //! event stream.

@@ -4,11 +4,12 @@
 //! One document holds the oracle verdicts (and raw structured results)
 //! of a set of experiments. Three producers share it:
 //!
-//! * serial `epic-run check` writes one document for everything it ran;
 //! * each child of the process runner ([`crate::runner`]) writes a
 //!   single-experiment document via `epic-run --one <id> --result-json`;
-//! * `epic-run merge-shapes` (and the parallel runner's fan-in) merges
-//!   any number of documents — v1 or v2 — into one.
+//! * `epic-run check` fans its children's documents into one for
+//!   everything it ran;
+//! * `epic-run merge-shapes` merges any number of documents — v1 or
+//!   v2 — into one.
 //!
 //! v2 extends v1 with per-experiment `duration_ms` and `attempts`, and a
 //! top-level `runner: {shard, jobs}` provenance block (see DESIGN.md §8
@@ -37,7 +38,8 @@ pub struct RunnerMeta {
 }
 
 impl RunnerMeta {
-    /// Meta for an in-process serial run over the full selection.
+    /// Meta for an unsharded one-slot run over the full selection (what a
+    /// v1 document, which predates the block, is read as).
     pub fn serial() -> Self {
         RunnerMeta {
             shard: "1/1".to_string(),

@@ -49,6 +49,21 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8(out.stderr.clone()).expect("utf8")
 }
 
+/// The per-run child-log directories (`jobs/run-*`) under `results`.
+fn run_dirs(results: &std::path::Path) -> Vec<PathBuf> {
+    std::fs::read_dir(results.join("jobs"))
+        .expect("jobs dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| {
+            p.is_dir()
+                && p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with("run-"))
+        })
+        .collect()
+}
+
 /// The ids a `list` invocation printed (skipping the header line).
 fn listed_ids(out: &Output) -> Vec<String> {
     stdout_of(out)
@@ -185,9 +200,52 @@ fn epic_run_check_rejects_unknown_id() {
     assert_eq!(out.status.code(), Some(2), "bad id in a list must exit 2");
     let stdout = stdout_of(&out);
     assert!(
-        !stdout.contains("##### check"),
+        !stdout.contains("worker slots"),
         "must validate ids before running experiments: {stdout}"
     );
+}
+
+/// The default `check` (no `-j`) runs its one experiment as a child
+/// under the per-job timeout: a run longer than `--timeout-secs` is
+/// killed, retried once, and recorded as a strict crash failure — it
+/// must not run to completion in-process and exit 0.
+#[test]
+fn default_check_enforces_the_job_timeout() {
+    let dir = scratch_dir("timeout");
+    let out = Command::new(env!("CARGO_BIN_EXE_epic-run"))
+        .args(["check", "fig7_passfirst", "--timeout-secs", "1"])
+        .env("EPIC_MILLIS", "2000")
+        .env("EPIC_TRIALS", "1")
+        .env("EPIC_RESULTS", &dir)
+        .output()
+        .expect("spawn epic-run");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "timed-out run must fail: {out:?}"
+    );
+    let doc = ShapesDoc::parse(&std::fs::read_to_string(dir.join("SHAPES.json")).expect("SHAPES"))
+        .expect("v2 parses");
+    assert_eq!(doc.runner.jobs, 1, "no -j means one worker slot");
+    assert_eq!(doc.records.len(), 1);
+    let rec = &doc.records[0];
+    assert_eq!(rec.attempts, 2, "a timeout is a crash: retried once");
+    assert!(
+        rec.report
+            .outcomes
+            .iter()
+            .any(|o| !o.passed && o.detail.contains("timed out")),
+        "missing timeout detail: {:?}",
+        rec.report.outcomes
+    );
+    let run_dirs = run_dirs(&dir);
+    assert_eq!(
+        run_dirs.len(),
+        1,
+        "one check run = one run dir: {run_dirs:?}"
+    );
+    assert!(run_dirs[0].join("fig7_passfirst.log").exists(), "child log");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Bad flags and malformed values are usage errors, not silent ids.
@@ -346,17 +404,7 @@ fn parallel_check_produces_merged_v2_shapes() {
     }
     // Child logs land in a per-run subdirectory (jobs/run-*/<id>.log),
     // keeping results/jobs/ bounded across runs.
-    let run_dirs: Vec<PathBuf> = std::fs::read_dir(dir.join("jobs"))
-        .expect("jobs dir")
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.is_dir()
-                && p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("run-"))
-        })
-        .collect();
+    let run_dirs = run_dirs(&dir);
     assert_eq!(
         run_dirs.len(),
         1,
@@ -374,7 +422,7 @@ fn parallel_check_produces_merged_v2_shapes() {
 /// `--events <path>` streams the `epic-events-v1` NDJSON progress feed:
 /// every line parses back through [`PoolEvent::parse`], each experiment
 /// is queued, started, and finished exactly once (healthy children), and
-/// finished events carry duration + verdict. The serial (`-j 1`) path
+/// finished events carry duration + verdict. A one-slot (`-j 1`) run
 /// emits the same stream shape.
 #[test]
 fn check_events_flag_streams_ndjson_progress() {

@@ -5,7 +5,7 @@
 //! Prometheus metrics, and survive daemon restarts without losing or
 //! re-running work.
 //!
-//! Where `epic-run check -j N` is a batch invocation — one shard, one
+//! Where `epic-run check` is a batch invocation — one shard, one
 //! exit code — `epic-serve` keeps the same process-isolated job engine
 //! ([`epic_harness::runner::pool`]) resident behind a small HTTP/1.1
 //! API (hand-rolled in [`epic_util::http`]; the container builds with
