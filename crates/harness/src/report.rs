@@ -7,6 +7,7 @@
 //! into an [`ExperimentResult`] — the machine-readable shape the oracle
 //! layer (`crate::oracle`) asserts against.
 
+use epic_util::json::{push_str_literal, render_num};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -98,10 +99,10 @@ impl ExperimentResult {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n      \"id\": ");
-        push_json_str(&mut out, &self.id);
+        push_str_literal(&mut out, &self.id);
         if let Some(p) = &self.provenance {
             out.push_str(",\n      \"provenance\": ");
-            push_json_str(&mut out, p);
+            push_str_literal(&mut out, p);
         }
         out.push_str(",\n      \"metrics\": {");
         for (i, (k, v)) in self.metrics.iter().enumerate() {
@@ -109,9 +110,9 @@ impl ExperimentResult {
                 out.push(',');
             }
             out.push_str("\n        ");
-            push_json_str(&mut out, k);
+            push_str_literal(&mut out, k);
             out.push_str(": ");
-            out.push_str(&json_num(*v));
+            out.push_str(&render_num(*v));
         }
         out.push_str("\n      },\n      \"series\": {");
         for (i, (k, vs)) in self.series.iter().enumerate() {
@@ -119,32 +120,19 @@ impl ExperimentResult {
                 out.push(',');
             }
             out.push_str("\n        ");
-            push_json_str(&mut out, k);
+            push_str_literal(&mut out, k);
             out.push_str(": [");
             for (j, v) in vs.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&json_num(*v));
+                out.push_str(&render_num(*v));
             }
             out.push(']');
         }
         out.push_str("\n      }\n    }");
         out
     }
-}
-
-/// Formats an `f64` as a JSON number (`null` for NaN/±inf). Delegates
-/// to [`epic_util::json::render_num`] so every writer in the workspace
-/// shares one number convention (and the parser's round trip holds).
-pub fn json_num(v: f64) -> String {
-    epic_util::json::render_num(v)
-}
-
-/// Appends a JSON string literal (quotes + escapes). Delegates to
-/// [`epic_util::json::push_str_literal`] — one escape rule everywhere.
-pub fn push_json_str(out: &mut String, s: &str) {
-    epic_util::json::push_str_literal(out, s);
 }
 
 /// A simple aligned table with CSV export.

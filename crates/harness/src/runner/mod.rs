@@ -7,8 +7,7 @@
 //! threads, the counting global allocator, and the `EPIC_*` environment.
 //! So the engine schedules registry entries as *child processes* — the
 //! binary re-invokes itself as `epic-run --one <id> --result-json <p>` —
-//! through the [`pool`] module, which owns the mechanics shared with the
-//! `epic-serve` daemon:
+//! through the [`pool`] module:
 //!
 //! * `jobs` concurrent worker slots, filled longest-processing-time
 //!   first using the registry's [`Experiment::cost`] hints, so the
@@ -21,8 +20,7 @@
 //!   per-run directory `<results>/jobs/run-<ts>-<pid>-<seq>/` (old run
 //!   directories are swept, keeping the last `EPIC_JOB_LOG_KEEP`);
 //! * an optional NDJSON progress stream (`--events <path>`) of
-//!   [`pool::PoolEvent`] records — the same facts the daemon's `/jobs`
-//!   view reports, because both come from the pool;
+//!   [`pool::PoolEvent`] records;
 //! * a deterministic merge: per-job documents combine in registry order
 //!   no matter the completion order.
 //!
@@ -42,7 +40,7 @@ use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, SystemTime};
 
 /// FNV-1a over the id bytes: the stable hash the shard partitioner
 /// orders by. Not a quality hash — a *frozen* one: the shard an id lands
@@ -100,6 +98,14 @@ pub fn shard_members(k: usize, n: usize) -> HashSet<String> {
     partition(n).swap_remove(k - 1).into_iter().collect()
 }
 
+/// Milliseconds since the unix epoch (0 if the clock is before 1970).
+fn unix_ms() -> u64 {
+    SystemTime::now()
+        .duration_since(SystemTime::UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0)
+}
+
 /// Distinguishes run dirs created within one millisecond by one process
 /// (tests spin pools up quickly).
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -107,16 +113,15 @@ static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Creates a fresh per-run artifact directory
 /// `<results>/jobs/run-<unix-ms>-<pid>-<seq>/` and sweeps old run
 /// directories, keeping the newest [`job_log_keep`] (the new one
-/// included). Both `epic-run check` and the `epic-serve` daemon
-/// allocate their child logs here, so `results/jobs/` stays bounded
-/// across runs instead of accreting logs forever.
+/// included), so `results/jobs/` stays bounded across runs instead of
+/// accreting logs forever.
 pub fn new_run_dir() -> std::io::Result<PathBuf> {
     let root = results_dir().join("jobs");
     std::fs::create_dir_all(&root)?;
     let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = root.join(format!(
         "run-{:013}-{}-{seq}",
-        pool::unix_ms(),
+        unix_ms(),
         std::process::id()
     ));
     std::fs::create_dir_all(&dir)?;

@@ -9,10 +9,9 @@
 //! becomes a [`Cell`], and every cell becomes a regular
 //! [`Experiment`] in
 //! [`all_experiments`](crate::experiments::all_experiments) — so
-//! `epic-run check`, `--shard`, `-j N`, oracle verdicts, `SHAPES.json`
-//! merging and `epic-serve` job submission all work on generated
-//! scenarios unchanged. Point `EPIC_RUNBOOK` at the file and the
-//! registry grows.
+//! `epic-run check`, `--shard`, `-j N`, oracle verdicts and `SHAPES.json`
+//! merging all work on generated scenarios unchanged. Point
+//! `EPIC_RUNBOOK` at the file and the registry grows.
 //!
 //! Reproducibility is the design center:
 //!
@@ -27,7 +26,7 @@
 //!   <hash>` re-runs the exact cell it names and diffs the `det/*`
 //!   counters recorded by the cell's single-thread determinism probe.
 //!
-//! Grammar reference: DESIGN.md §12; user guide: README "Writing
+//! Grammar reference: DESIGN.md §11; user guide: README "Writing
 //! scenarios".
 
 use crate::config::{Arrival, KeyDist, WorkloadCfg};
@@ -722,7 +721,7 @@ fn fnv1a_seeded(basis: u64, s: &str) -> u64 {
 }
 
 /// `EPIC_*` variables excluded from the provenance digest: they steer
-/// where artifacts land or how the queue logs rotate, never what a
+/// where artifacts land or how job logs rotate, never what a
 /// trial measures. Everything else under `EPIC_` (scale, caps, seeds)
 /// is included. `EPIC_RUNBOOK` itself is excluded because the digest
 /// hashes the runbook *content* — the path it was read from is
@@ -732,11 +731,10 @@ const PROV_ENV_DENYLIST: &[&str] = &[
     "EPIC_RUNBOOK",
     "EPIC_JOB_LOG_KEEP",
     "EPIC_JOB_TIMEOUT_SECS",
-    "EPIC_QUEUE_COMPACT_LINES",
 ];
 
 /// The canonical preimage the provenance hash digests — one field per
-/// line, `EPIC_*` overrides sorted by key (see DESIGN.md §12 for the
+/// line, `EPIC_*` overrides sorted by key (see DESIGN.md §11 for the
 /// field list). Exposed so tests and docs can show exactly what is
 /// hashed.
 pub fn provenance_preimage(e: &Experiment) -> String {

@@ -17,8 +17,8 @@
 //! a v1 file, so old artifacts keep merging.
 
 use crate::oracle::{AssertionOutcome, OracleReport, Tier};
-use crate::report::{json_num, push_json_str, results_dir, ExperimentResult};
-use epic_util::json::Json;
+use crate::report::{results_dir, ExperimentResult};
+use epic_util::json::{push_str_literal, render_num, Json};
 
 /// The previous schema tag (readable, never written anymore).
 pub const SCHEMA_V1: &str = "epic-shapes-v1";
@@ -114,9 +114,9 @@ impl ShapesDoc {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n  \"schema\": ");
-        push_json_str(&mut out, SCHEMA_V2);
+        push_str_literal(&mut out, SCHEMA_V2);
         out.push_str(",\n  \"runner\": {\"shard\": ");
-        push_json_str(&mut out, &self.runner.shard);
+        push_str_literal(&mut out, &self.runner.shard);
         out.push_str(&format!(
             ", \"jobs\": {}}},\n  \"experiments\": [\n",
             self.runner.jobs
@@ -127,17 +127,17 @@ impl ShapesDoc {
             }
             let report = &rec.report;
             out.push_str("    {\n      \"id\": ");
-            push_json_str(&mut out, &report.experiment);
+            push_str_literal(&mut out, &report.experiment);
             out.push_str(",\n      \"claim\": ");
-            push_json_str(&mut out, &report.claim);
+            push_str_literal(&mut out, &report.claim);
             out.push_str(",\n      \"verdict\": ");
-            push_json_str(&mut out, report.verdict());
+            push_str_literal(&mut out, report.verdict());
             out.push_str(&format!(
                 ",\n      \"strict_failures\": {},\n      \"advisory_failures\": {},\n      \
                  \"duration_ms\": {},\n      \"attempts\": {},\n      \"assertions\": [\n",
                 report.strict_failures(),
                 report.advisory_failures(),
-                json_num(rec.duration_ms),
+                render_num(rec.duration_ms),
                 rec.attempts
             ));
             for (j, o) in report.outcomes.iter().enumerate() {
@@ -145,11 +145,11 @@ impl ShapesDoc {
                     out.push_str(",\n");
                 }
                 out.push_str("        {\"label\": ");
-                push_json_str(&mut out, &o.label);
+                push_str_literal(&mut out, &o.label);
                 out.push_str(", \"tier\": ");
-                push_json_str(&mut out, o.tier.name());
+                push_str_literal(&mut out, o.tier.name());
                 out.push_str(&format!(", \"passed\": {}, \"detail\": ", o.passed));
-                push_json_str(&mut out, &o.detail);
+                push_str_literal(&mut out, &o.detail);
                 out.push('}');
             }
             out.push_str("\n      ],\n      \"result\": ");

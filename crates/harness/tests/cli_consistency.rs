@@ -419,7 +419,7 @@ fn parallel_check_produces_merged_v2_shapes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--events <path>` streams the `epic-events-v1` NDJSON progress feed:
+/// `--events <path>` streams the `epic-events-v2` NDJSON progress feed:
 /// every line parses back through [`PoolEvent::parse`], each experiment
 /// is queued, started, and finished exactly once (healthy children), and
 /// finished events carry duration + verdict. A one-slot (`-j 1`) run

@@ -1,6 +1,5 @@
 //! Deterministic fuzzing for the runbook parser (`epic_harness::scenario`),
-//! in the `json_fuzz`/`http_fuzz` style: fixed seeds so failures
-//! reproduce exactly.
+//! in the `json_fuzz` style: fixed seeds so failures reproduce exactly.
 //!
 //! Two properties:
 //!

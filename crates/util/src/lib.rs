@@ -13,7 +13,6 @@
 
 pub mod backoff;
 pub mod cache_padded;
-pub mod http;
 pub mod json;
 pub mod locks;
 pub mod rng;
