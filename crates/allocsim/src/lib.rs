@@ -21,7 +21,9 @@
 //! All models share a [`ChunkStore`] substrate: memory is carved out of
 //! large chunks that are only unmapped when the allocator is dropped, and the
 //! running total of chunk bytes is the **peak memory** metric of Figures 1,
-//! 5 and 10.
+//! 5 and 10. As in jemalloc, the chunks sit in 2 MiB-aligned regions that
+//! the store advises the kernel to back with transparent huge pages; the
+//! peak stays the logical chunk total.
 //!
 //! ## Cost model
 //!

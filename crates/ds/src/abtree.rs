@@ -119,6 +119,31 @@ unsafe fn node<'a>(addr: usize) -> &'a Node {
     unsafe { &*(addr as *const Node) }
 }
 
+/// Starts fetching every cache line of the node at `addr`. The next hop
+/// scans `keys` and then reads `slots[idx]`, lines that would otherwise
+/// miss one after another; issuing all of them at once overlaps the
+/// misses.
+#[inline(always)]
+fn prefetch_node(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        const LINE: usize = 64;
+        let mut line = addr & !(LINE - 1);
+        while line < addr + std::mem::size_of::<Node>() {
+            // SAFETY: prefetch has no memory effects and cannot fault,
+            // whatever the address.
+            unsafe {
+                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
+                    line as *const i8,
+                );
+            }
+            line += LINE;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
+}
+
 /// Traversal window: grandparent (0 when parent is the entry sentinel),
 /// parent, leaf, and the slot indices connecting them.
 struct Window {
@@ -185,6 +210,7 @@ impl AbTree {
         idx: usize,
     ) -> Result<usize, Restart> {
         let c = g.protect_load(slot, &parent.slots[idx])?;
+        prefetch_node(c);
         if g.validating() && parent.is_marked() {
             return Err(Restart);
         }
@@ -280,23 +306,24 @@ impl AbTree {
     fn leaf_split(&self, leaf: &Node, key: u64, value: u64) -> (Node, Node, u64) {
         let len = leaf.len();
         debug_assert_eq!(len, CAP);
-        let mut keys = Vec::with_capacity(CAP + 1);
-        let mut vals = Vec::with_capacity(CAP + 1);
+        let mut keys = [0u64; CAP + 1];
+        let mut vals = [0usize; CAP + 1];
         let pos = leaf.keys[..len]
             .iter()
             .position(|&k| k > key)
             .unwrap_or(len);
         for i in 0..pos {
-            keys.push(leaf.keys[i]);
-            vals.push(leaf.slots[i].load(Ordering::Acquire));
+            keys[i] = leaf.keys[i];
+            vals[i] = leaf.slots[i].load(Ordering::Acquire);
         }
-        keys.push(key);
-        vals.push(value as usize);
+        keys[pos] = key;
+        vals[pos] = value as usize;
         for i in pos..len {
-            keys.push(leaf.keys[i]);
-            vals.push(leaf.slots[i].load(Ordering::Acquire));
+            keys[i + 1] = leaf.keys[i];
+            vals[i + 1] = leaf.slots[i].load(Ordering::Acquire);
         }
-        let mid = keys.len() / 2;
+        let n = len + 1;
+        let mid = n / 2;
         let mut left = Node::blank(true);
         let mut right = Node::blank(true);
         for i in 0..mid {
@@ -304,11 +331,11 @@ impl AbTree {
             left.slots[i] = AtomicUsize::new(vals[i]);
         }
         left.len = mid as u8;
-        for i in mid..keys.len() {
+        for i in mid..n {
             right.keys[i - mid] = keys[i];
             right.slots[i - mid] = AtomicUsize::new(vals[i]);
         }
-        right.len = (keys.len() - mid) as u8;
+        right.len = (n - mid) as u8;
         let sep = keys[mid];
         (left, right, sep)
     }
